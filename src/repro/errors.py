@@ -86,6 +86,15 @@ class RetriesExhausted(NetError):
     """A retried network operation failed on every allowed attempt."""
 
 
+class WorkerLost(ReproError):
+    """A pool worker process died while running a task.
+
+    Only the tasks in flight on the broken pool fail; the
+    :class:`~repro.globalq.parallel.WorkerPool` replaces its processes on
+    the next submit.
+    """
+
+
 class IntegrityError(ProtocolError):
     """A verification primitive caught the SSI (or a participant) cheating."""
 

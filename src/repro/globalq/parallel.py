@@ -32,7 +32,9 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro import obs
@@ -74,8 +76,10 @@ class WorkerPool:
     them, so routing through a shared pool cannot change a single
     ciphertext.
 
-    ``submit`` is thread-safe (it delegates to the executor), so
-    concurrent queries of one service can share one pool.
+    ``submit`` is thread-safe, so concurrent queries of one service can
+    share one pool. A worker that dies (killed, out of memory) breaks the
+    executor: the futures it held fail with ``BrokenProcessPool``, and the
+    next ``submit`` replaces the executor with freshly forked workers.
     """
 
     def __init__(self, workers: int) -> None:
@@ -84,6 +88,7 @@ class WorkerPool:
         self.workers = workers
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
+        self._lock = threading.Lock()
 
     @property
     def closed(self) -> bool:
@@ -98,15 +103,33 @@ class WorkerPool:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
+    def start(self) -> "WorkerPool":
+        """Spawn the workers now instead of on the first submit.
+
+        An owner that starts threads of its own calls this first, so the
+        workers fork from a process that has no other threads yet.
+        """
+        for future in [self.submit(os.getpid) for _ in range(self.workers)]:
+            future.result()
+        return self
+
     def submit(self, fn, *args):
-        return self.executor.submit(fn, *args)
+        with self._lock:
+            executor = self.executor
+            try:
+                return executor.submit(fn, *args)
+            except BrokenProcessPool:
+                executor.shutdown(wait=True)
+                self._executor = None
+                return self.executor.submit(fn, *args)
 
     def close(self) -> None:
         """Shut the workers down; idempotent, and the pool stays closed."""
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -112,7 +112,7 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
 
 
 @contextmanager
-def tracing(tracer: Tracer):
+def tracing(tracer: Tracer | None):
     """Scope-bound :func:`set_tracer`: restores the previous tracer."""
     global _active
     previous = _active

@@ -198,20 +198,22 @@ def remote_recording(context: TraceContext, label: str = ""):
     Installs a throwaway wall-clock tracer (watching this process's
     ``crypto.modexp_count``), activates ``context``, and yields a handle
     whose :meth:`~_RemoteRecording.wrap` bundles the shard result with the
-    recorded span dicts. Yields ``None`` — recording nothing — when the
-    context is unsampled or a tracer created *in this process* is active
-    (the serial path, where spans record directly). A tracer inherited
-    through ``fork`` has a foreign ``pid``: it is the submitter's dead
-    copy, so the worker records for shipment instead of writing into it.
+    recorded span dicts. Yields ``None`` when a tracer created *in this
+    process* is active (the serial path, where spans record directly) or
+    when the context is absent or unsampled (nothing is recorded). A
+    tracer inherited through ``fork`` has a foreign ``pid``: it is the
+    submitter's dead copy, so the worker records for shipment instead of
+    writing into it — and records nothing into it when unsampled.
     """
     from repro import obs
 
-    if context is None or not context.sampled:
-        yield None
-        return
     active = obs.get_tracer()
     if active is not None and active.pid == os.getpid():
         yield None
+        return
+    if context is None or not context.sampled:
+        with obs.tracing(None):
+            yield None
         return
     tracer = Tracer()
     tracer.use_wall_clock()

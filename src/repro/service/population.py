@@ -10,9 +10,10 @@ makes those changes observable and exact:
   **version** and notifies listeners synchronously — the result cache's
   invalidation hook;
 * :meth:`snapshot` returns an immutable view (version + the online nodes in
-  population order). Forget is copy-on-write on the node object, so a
-  snapshot taken before the deletion keeps answering exactly as admitted —
-  in-flight queries are never half-mutated.
+  population order), one shared object per version. Forget is
+  copy-on-write on the node object, so a snapshot taken before the
+  deletion keeps answering exactly as admitted — in-flight queries are
+  never half-mutated.
 
 Churn can come from two sources: a :class:`~repro.net.runtime.NodeRuntime`
 flip listener (:meth:`bind_runtime` — bus connectivity *is* membership, the
@@ -58,6 +59,8 @@ class ServicePopulation:
         self.churn_events = 0
         self.forget_events = 0
         self.update_events = 0
+        #: The current version's snapshot, built on first request.
+        self._snapshot: PopulationSnapshot | None = None
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -84,6 +87,7 @@ class ServicePopulation:
 
     def _notify(self, event: str, pds_id: int) -> None:
         self.version += 1
+        self._snapshot = None
         for listener in self._listeners:
             listener(event, pds_id, self.version)
 
@@ -134,15 +138,23 @@ class ServicePopulation:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> PopulationSnapshot:
-        """The online population, frozen, with the version it reflects."""
-        return PopulationSnapshot(
-            version=self.version,
-            nodes=tuple(
-                node
-                for node, online in zip(self._nodes, self._online)
-                if online
-            ),
-        )
+        """The online population, frozen, with the version it reflects.
+
+        Every caller gets the same object until the next mutation, so
+        concurrent queries and recorded answers of one version share one
+        node tuple (and one pickled copy when shipped to a worker pool).
+        """
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = PopulationSnapshot(
+                version=self.version,
+                nodes=tuple(
+                    node
+                    for node, online in zip(self._nodes, self._online)
+                    if online
+                ),
+            )
+        return snapshot
 
     # ------------------------------------------------------------------
     # Churn sources

@@ -9,23 +9,36 @@ aggregates must be bit-identical; any divergence is a concurrency bug in
 the service (wrong snapshot, stale cache, shared-rng contamination), which
 is exactly what the equality assertions exist to catch.
 
-Worker count is *not* part of the determinism contract on purpose: the E23
-sharded executor guarantees ciphertexts do not depend on parallelism, so a
-reference re-run with ``workers=1`` validates a service answer computed
-over a process pool.
+``run_query(..., pool=)`` runs the whole query — collection, partitioning
+and token aggregation — in one process of a persistent
+:class:`~repro.globalq.parallel.WorkerPool`. The worker rebuilds the
+:class:`~repro.globalq.protocol.TokenFleet` from its key-derivation seed
+and calls this same function inline, so a pooled answer *is* the inline
+answer. Only the pickled snapshot goes in (pickled once per node tuple
+here, unpickled once per worker) and the small
+:class:`~repro.globalq.protocol.ProtocolReport` comes back; an in-process
+re-run without ``pool`` validates it.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import pickle
 import random
 import threading
+from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
-from repro.errors import QueryError
+from repro import obs
+from repro.errors import QueryError, WorkerLost
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
 from repro.globalq.noise import NoisePlan, NoiseProtocol
 from repro.globalq.parallel import DEFAULT_SHARD_SIZE, WorkerPool
 from repro.globalq.protocol import ProtocolReport, TokenFleet
 from repro.globalq.secureagg import SecureAggregationProtocol
+from repro.obs import telemetry
 from repro.service.descriptor import (
     FAMILY_EMBEDDED,
     FAMILY_HISTOGRAM,
@@ -148,15 +161,13 @@ def build_protocol(
     fleet: TokenFleet,
     seed: int,
     domain: tuple[str, ...],
-    workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    pool: WorkerPool | None = None,
 ):
     """The protocol-family driver for one execution of ``descriptor``.
 
     Every random draw — SSI partitioning, fake planning, cipher nonces —
     descends from ``seed``, and collection always routes through the
-    sharded executor so the answer is identical at any worker count.
+    serial sharded executor, whose shard seeds fix every ciphertext.
     """
     rng = random.Random(seed)
     if descriptor.family == FAMILY_SECURE_AGG:
@@ -164,10 +175,9 @@ def build_protocol(
             fleet,
             partition_size=descriptor.partition_size,
             rng=rng,
-            workers=workers,
+            workers=1,
             shard_size=shard_size,
             collection_seed=seed,
-            pool=pool,
         )
     if descriptor.family == FAMILY_NOISE:
         return NoiseProtocol(
@@ -178,10 +188,9 @@ def build_protocol(
                 domain=tuple(domain),
             ),
             rng=rng,
-            workers=workers,
+            workers=1,
             shard_size=shard_size,
             collection_seed=seed,
-            pool=pool,
         )
     assert descriptor.family == FAMILY_HISTOGRAM
     bucketizer = EquiDepthBucketizer(
@@ -191,10 +200,9 @@ def build_protocol(
         fleet,
         bucketizer,
         rng=rng,
-        workers=workers,
+        workers=1,
         shard_size=shard_size,
         collection_seed=seed,
-        pool=pool,
     )
 
 
@@ -204,21 +212,150 @@ def run_query(
     fleet: TokenFleet,
     seed: int,
     domain: tuple[str, ...],
-    workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
     pool: WorkerPool | None = None,
     embedded_batch_size: int | None = None,
 ) -> ProtocolReport:
     """Run ``descriptor`` once over ``nodes`` — service path and reference.
 
-    The embedded-spj family never touches the population: it answers from
-    the service-hosted Part II engine, deterministically (no seed draw), so
-    a reference re-run needs only the descriptor.
+    With ``pool`` the query runs whole in one worker process (see the
+    module docstring); a worker that dies mid-query raises
+    :class:`~repro.errors.WorkerLost`. The embedded-spj family never
+    touches the population and never leaves this process: it answers from
+    the service-hosted, stateful Part II engine, deterministically (no
+    seed draw), so a reference re-run needs only the descriptor.
     """
     if descriptor.family == FAMILY_EMBEDDED:
         return run_embedded(descriptor, batch_size=embedded_batch_size)
-    protocol = build_protocol(
-        descriptor, fleet, seed, domain,
-        workers=workers, shard_size=shard_size, pool=pool,
-    )
+    if pool is not None:
+        return _run_on_pool(
+            pool, descriptor, tuple(nodes), fleet, seed, domain, shard_size
+        )
+    protocol = build_protocol(descriptor, fleet, seed, domain, shard_size)
     return protocol.run(list(nodes), descriptor.query)
+
+
+# ----------------------------------------------------------------------
+# Whole-query execution on a worker pool
+# ----------------------------------------------------------------------
+#: Node tuples kept pickled for shipping here, and kept unpickled in each
+#: worker: the current population version and the one before it.
+SNAPSHOT_MEMO_SIZE = 2
+
+_SHIP_KEYS = itertools.count(1)
+#: id(node tuple) -> (node tuple, key, pickled bytes), submitting side.
+_SHIPPED: OrderedDict[int, tuple[tuple, int, bytes]] = OrderedDict()
+_SHIPPED_LOCK = threading.Lock()
+#: key -> node tuple, worker side (a worker runs one task at a time).
+_RECEIVED: OrderedDict[int, tuple] = OrderedDict()
+
+
+def _remember(memo: OrderedDict, key, value) -> None:
+    memo[key] = value
+    if len(memo) > SNAPSHOT_MEMO_SIZE:
+        memo.popitem(last=False)
+
+
+def _shipped(nodes: tuple) -> tuple[int, bytes]:
+    """``(key, pickled nodes)``, pickled once per node tuple object.
+
+    The memo holds the tuple itself, so its ``id`` cannot be reused while
+    the entry lives; keys come from one process-wide counter, so they stay
+    unique across every population that shares a pool.
+    """
+    with _SHIPPED_LOCK:
+        entry = _SHIPPED.get(id(nodes))
+        if entry is None:
+            payload = pickle.dumps(nodes, pickle.HIGHEST_PROTOCOL)
+            entry = (nodes, next(_SHIP_KEYS), payload)
+            _remember(_SHIPPED, id(nodes), entry)
+        else:
+            _SHIPPED.move_to_end(id(nodes))
+    return entry[1], entry[2]
+
+
+def _received(key: int, payload: bytes) -> tuple:
+    """The node tuple shipped under ``key``, unpickled once per worker."""
+    nodes = _RECEIVED.get(key)
+    if nodes is None:
+        nodes = pickle.loads(payload)
+        _remember(_RECEIVED, key, nodes)
+    else:
+        _RECEIVED.move_to_end(key)
+    return nodes
+
+
+@dataclass(frozen=True)
+class QueryTask:
+    """One whole query for a pool worker (all picklable)."""
+
+    descriptor: QueryDescriptor
+    snapshot_key: int
+    snapshot: bytes
+    fleet_seed: int
+    seed: int
+    domain: tuple
+    shard_size: int
+    #: Distributed trace context of the submitting span (or None).
+    trace: object = None
+
+
+def run_query_task(task: QueryTask):
+    """Run one shipped query inline in a worker process.
+
+    Returns the :class:`ProtocolReport`, wrapped in a
+    :class:`~repro.obs.telemetry.TracedResult` when the task's trace
+    context asked this worker to record its spans.
+    """
+    nodes = _received(task.snapshot_key, task.snapshot)
+    with telemetry.remote_recording(
+        task.trace, f"worker-{os.getpid()}"
+    ) as recording:
+        with obs.span(
+            "reference.query.exec",
+            family=task.descriptor.family,
+            population=len(nodes),
+        ):
+            report = run_query(
+                task.descriptor,
+                nodes,
+                TokenFleet(task.fleet_seed),
+                task.seed,
+                task.domain,
+                shard_size=task.shard_size,
+            )
+    if recording is not None:
+        return recording.wrap(report)
+    return report
+
+
+def _run_on_pool(
+    pool: WorkerPool,
+    descriptor: QueryDescriptor,
+    nodes: tuple,
+    fleet: TokenFleet,
+    seed: int,
+    domain: tuple[str, ...],
+    shard_size: int,
+) -> ProtocolReport:
+    with obs.span(
+        "reference.query", family=descriptor.family, population=len(nodes)
+    ) as span:
+        key, payload = _shipped(nodes)
+        task = QueryTask(
+            descriptor=descriptor,
+            snapshot_key=key,
+            snapshot=payload,
+            fleet_seed=fleet.seed,
+            seed=seed,
+            domain=tuple(domain),
+            shard_size=shard_size,
+            trace=telemetry.propagated(),
+        )
+        try:
+            value = pool.submit(run_query_task, task).result()
+        except BrokenProcessPool as exc:
+            raise WorkerLost(
+                f"a pool worker died running a {descriptor.family} query"
+            ) from exc
+        return telemetry.adopt(value, span)

@@ -4,13 +4,19 @@ Everything before this PR runs a query the way a benchmark does — build the
 population, run one protocol, exit. :class:`SsiQueryService` runs the SSI
 the way the tutorial deploys it: a persistent server multiplexing many
 concurrent [TNP14] queries over one shared population while tokens churn
-and citizens ``forget()``. Three mechanisms make that safe:
+and citizens ``forget()``. Four mechanisms make that safe and fast:
 
 * **admission + scheduling** — arrivals pass the
   :class:`~repro.service.admission.AdmissionController` (bounded queues,
   typed :class:`~repro.service.admission.Overloaded` shedding, round-robin
   class fairness); exactly ``max_in_flight`` worker loops execute admitted
   queries on a thread pool, so protocol CPU never blocks the event loop;
+* **whole-query workers** — each thread hands its secure-agg, noise or
+  histogram query, collection through token aggregation, to one process
+  of a persistent :class:`~repro.globalq.parallel.WorkerPool` (one process
+  per usable core), so concurrent queries use every core instead of
+  sharing one interpreter lock. embedded-spj stays in this process: the
+  hosted token database is one stateful object;
 * **snapshot execution** — each execution freezes the population
   (:meth:`ServicePopulation.snapshot`) and derives its seed from the
   (descriptor, version) pair, so the answer is bit-identical to the one-shot
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import os
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +70,14 @@ from repro.service.standing import StandingRegistry
 from repro.workloads.people import CITIES
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on (affinity-aware where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs of one service instance."""
@@ -73,8 +88,7 @@ class ServiceConfig:
     max_queue_depth: int = 64
     #: Result-cache entries (0 disables caching).
     cache_capacity: int = 32
-    #: Sharded-collection workers per execution (1 = inline).
-    workers: int = 1
+    #: Collection shard size inside each execution.
     shard_size: int = DEFAULT_SHARD_SIZE
     #: Base seed mixed into every per-query seed derivation.
     seed: int = 0
@@ -83,7 +97,9 @@ class ServiceConfig:
     #: Keep each result's population snapshot on the ServedResult/cache
     #: entry so tests can re-verify answers bit-identically.
     record_snapshots: bool = False
-    #: Optional persistent process pool shared across executions.
+    #: Persistent process pool the one-shot queries run on, also used to
+    #: shard standing folds. None: the service forks its own pool, one
+    #: process per usable core, for queries only (folds stay inline).
     pool: WorkerPool | None = None
     #: Executor for embedded-spj queries: None = engine default (columnar
     #: batches), 0 = legacy tuple-at-a-time, N = explicit batch row count.
@@ -215,6 +231,8 @@ class SsiQueryService:
         self.registry.register_stats("service.cache", self.cache.stats)
         self._workers: list[asyncio.Task] = []
         self._executor: ThreadPoolExecutor | None = None
+        #: The pool queries run on while the service runs.
+        self._pool: WorkerPool | None = None
         self._running = False
         # Ingest pipeline: deltas queue here off the reader loop and fold
         # in batches on a dedicated executor thread, never on the loop.
@@ -232,6 +250,8 @@ class SsiQueryService:
         if self._running:
             return
         self._running = True
+        # Fork before this service starts any thread of its own.
+        self._pool = self.config.pool or WorkerPool(_usable_cores()).start()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_in_flight,
             thread_name_prefix="ssi-query",
@@ -280,6 +300,9 @@ class SsiQueryService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        if self._pool is not self.config.pool:
+            self._pool.close()
+        self._pool = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -421,8 +444,8 @@ class SsiQueryService:
                 population=len(snapshot.nodes),
             ):
                 # Copied *inside* the span so the executor thread inherits
-                # both the open span and the trace context — shard spans
-                # of the collection then nest under service.query.
+                # both the open span and the trace context — the spans the
+                # worker process records then nest under service.query.
                 ctx = contextvars.copy_context()
                 report = await loop.run_in_executor(
                     self._executor,
@@ -433,9 +456,8 @@ class SsiQueryService:
                     self.population.fleet,
                     seed,
                     self.config.domain,
-                    self.config.workers,
                     self.config.shard_size,
-                    self.config.pool,
+                    self._pool,
                     self.config.embedded_batch_size,
                 )
         stats = {
@@ -680,11 +702,9 @@ class SsiQueryService:
 
         Any decode failure lands here — not just :class:`ProtocolError`
         but anything a hostile payload can throw — so a poison frame can
-        never tear down ``serve_endpoint``'s reader loop. Both names
-        count: ``globalq.delta.rejected`` (the delta family's tally) and
-        ``service.delta.rejected`` (the service-level guard).
+        never tear down ``serve_endpoint``'s reader loop. Counted once,
+        as ``service.delta.rejected``.
         """
-        self.registry.counter("globalq.delta.rejected").inc()
         self.registry.counter("service.delta.rejected").inc()
 
     def ingest_frame(self, frame: Frame) -> None:

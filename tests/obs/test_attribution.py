@@ -303,7 +303,7 @@ class TestDistributedTraceAttribution:
 
 class TestServiceWireTrace:
     """E24-style acceptance: querier frame -> admission -> execution ->
-    shard child processes, one trace, ids resolving to the page."""
+    the query's pool child process, one trace, ids resolving to the page."""
 
     def test_one_query_yields_one_cross_process_trace(self):
         asyncio.run(self._drive())
@@ -313,47 +313,39 @@ class TestServiceWireTrace:
         descriptor = QueryDescriptor(
             FAMILY_SECURE_AGG, AggregateQuery.sum("salary")
         )
-        with WorkerPool(workers=2) as pool:
-            with Telemetry(sample_rate=1.0) as bundle:
-                service = SsiQueryService(
-                    population,
-                    ServiceConfig(
-                        max_in_flight=1,
-                        cache_capacity=0,
-                        workers=2,
-                        shard_size=8,
-                        pool=pool,
-                    ),
-                    telemetry=bundle,
-                )
-                service.start()
-                bus = MessageBus(rng=random.Random(5))
-                server = asyncio.ensure_future(
-                    service.serve_endpoint(bus.register("ssi"))
-                )
-                querier = bus.register("querier-0")
-                try:
-                    with obs.span("querier.request") as querier_span:
-                        context = bundle.sampler.context_for(
-                            "e26-wire"
-                        ).child(querier_span.span_id)
-                        body = dict(
-                            descriptor.to_dict(), request_id="querier-0/0"
-                        )
-                        await querier.send(
-                            "ssi",
-                            Frame(
-                                KIND_QUERY,
-                                "querier-0",
-                                0,
-                                encode_json_payload(body),
-                                trace=context,
-                            ),
-                        )
-                        reply = await querier.recv(timeout=60.0)
-                finally:
-                    server.cancel()
-                    await service.stop()
+        with Telemetry(sample_rate=1.0) as bundle:
+            # The service owns its pool: the default deployment.
+            service = SsiQueryService(
+                population,
+                ServiceConfig(max_in_flight=1, cache_capacity=0, shard_size=8),
+                telemetry=bundle,
+            )
+            service.start()
+            bus = MessageBus(rng=random.Random(5))
+            server = asyncio.ensure_future(
+                service.serve_endpoint(bus.register("ssi"))
+            )
+            querier = bus.register("querier-0")
+            try:
+                with obs.span("querier.request") as querier_span:
+                    context = bundle.sampler.context_for("e26-wire").child(
+                        querier_span.span_id
+                    )
+                    body = dict(descriptor.to_dict(), request_id="querier-0/0")
+                    await querier.send(
+                        "ssi",
+                        Frame(
+                            KIND_QUERY,
+                            "querier-0",
+                            0,
+                            encode_json_payload(body),
+                            trace=context,
+                        ),
+                    )
+                    reply = await querier.recv(timeout=60.0)
+            finally:
+                server.cancel()
+                await service.stop()
 
         assert reply.kind == KIND_RESULT
         # The reply carries the same trace back to the querier.
@@ -374,23 +366,34 @@ class TestServiceWireTrace:
                 names.append(node.name)
             return names
 
+        def in_worker(span):
+            return bool(span.process) and span.process.startswith("worker-")
+
         # Wire hop: the service's frame span hangs off the querier span.
         (frame_span,) = by_name["service.frame"]
         assert frame_span.parent_id == querier_span.span_id
-        # Admission/execution: service.query under the frame span.
+        # Admission/execution: service.query under the frame span, and the
+        # wait for the pool under service.query, in this process.
         (query_span,) = by_name["service.query"]
         assert "service.frame" in ancestors(query_span)
-        # Every shard ran in a pool child process and nests under the
-        # query via its shard wait span.
+        (wait_span,) = by_name["reference.query"]
+        assert wait_span.parent_id == query_span.span_id
+        assert not in_worker(wait_span)
+        # The whole query ran in one pool child process, adopted under
+        # the wait span: its exec span, then collection inside it.
+        (exec_span,) = by_name["reference.query.exec"]
+        assert exec_span.parent_id == wait_span.span_id
+        assert in_worker(exec_span)
+        shards = by_name["globalq.collect.shard"]
         execs = by_name["globalq.collect.shard.exec"]
-        assert execs
-        processes = {s.process for s in execs}
-        assert processes and all(
-            p and p.startswith("worker-") for p in processes
-        )
+        # 48 PDSs in shards of 8: every shard ran, nothing duplicated.
+        assert len(shards) == len(execs) == 6
+        for span in shards + execs:
+            assert span.process == exec_span.process
         for span in execs:
             chain = ancestors(span)
             assert chain[0] == "globalq.collect.shard"
+            assert "reference.query.exec" in chain
             assert "service.query" in chain
             assert chain[-1] == "querier.request"
         # One trace id stamps the whole tree, wire to child process.

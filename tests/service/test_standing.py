@@ -367,7 +367,9 @@ class TestWireStandingPath:
             server = asyncio.ensure_future(service.serve_endpoint(ssi))
             await pds.send("ssi", Frame(KIND_DELTA, "pds-0", 1, b"garbage"))
             await asyncio.sleep(0.05)
-            rejected = service.registry.counter("globalq.delta.rejected").value
+            rejected = service.registry.counter("service.delta.rejected").value
+            # One event, one name: the per-family duplicate is gone.
+            assert "globalq.delta.rejected" not in service.metrics_snapshot()
             server.cancel()
             try:
                 await server
